@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from repro.utils.validation import check_labels, check_matrix
 __all__ = [
     "EdgeHDFederation",
     "FederatedTrainingReport",
-    "LazyEncodings",
     "batch_groups",
 ]
 
@@ -275,44 +274,18 @@ class EdgeHDFederation:
             raise ValueError(f"view must be 'own' or 'forward', got {view!r}")
         mat = check_matrix("features", features, cols=self.partition.n_features)
         own: Dict[int, np.ndarray] = {}
-        forward: Dict[int, np.ndarray] = {}
-        for node_id in self.hierarchy.postorder():
-            node = self.hierarchy.nodes[node_id]
-            if node.is_leaf:
-                encoded = self.encode_leaf(node_id, mat)
-                own[node_id] = encoded
-                forward[node_id] = encoded
-            else:
-                children = [forward[c] for c in node.children]
-                raw = self.combine_children(node_id, children, binarize=False)
-                own[node_id] = raw
-                forward[node_id] = (
-                    sign_binarize(raw) if self.config.binarize else raw
-                )
-        return own if view == "own" else forward
-
-    def encode_lazy(
-        self,
-        features: np.ndarray,
-        prefill: Optional[Dict[int, np.ndarray]] = None,
-    ) -> "LazyEncodings":
-        """Demand-driven :meth:`encode_all`: nodes encode on first access.
-
-        Returns a :class:`LazyEncodings` view over ``features`` that
-        computes each node's encoding (and, transitively, its subtree's
-        forwarded encodings) only when that node is actually looked up.
-        Confidence-gated escalation visits few internal nodes on most
-        batches, so callers that walk the hierarchy — inference, the
-        serving cluster workers — skip the bulk of the projection work
-        while producing bit-identical encodings for the nodes they do
-        touch. ``prefill`` seeds the cache with already-computed "own"
-        encodings (e.g. the start leaves a worker encoded up front).
-        """
-        mat = check_matrix("features", features, cols=self.partition.n_features)
-        return LazyEncodings(self, mat, prefill=prefill)
+        self._encode(self.root_id, mat, {}, own)
+        if view == "own":
+            return own
+        return {nid: self.forward_view(nid, enc) for nid, enc in own.items()}
 
     def encode_at(
-        self, node_id: int, features: np.ndarray, *, view: str = "own"
+        self,
+        node_id: int,
+        features: np.ndarray,
+        *,
+        view: str = "own",
+        carried: Optional[Mapping[int, Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> np.ndarray:
         """Hierarchical encoding at a single node (computes its subtree).
 
@@ -320,25 +293,94 @@ class EdgeHDFederation:
         node classifies with — raw projection values at internal nodes)
         vs ``"forward"`` (what the node transmits — binarized when
         ``config.binarize``) semantics as :meth:`encode_all`.
+
+        ``carried`` maps a child of ``node_id`` to ``(rows, forward)``:
+        the child's forward encodings of those rows of ``features``,
+        already computed below and shipped upward with the escalation
+        bundle (Sec. IV-C). A child's subtree is encoded only for the
+        rows it does not carry; the node then projects every row in
+        one call. The result is bit-identical to encoding from the raw
+        rows alone.
         """
         if node_id not in self.hierarchy.nodes:
             raise KeyError(f"unknown node {node_id}")
         mat = check_matrix("features", features, cols=self.partition.n_features)
         if view not in {"own", "forward"}:
             raise ValueError(f"view must be 'own' or 'forward', got {view!r}")
+        carried = carried or {}
+        stray = set(carried) - set(self.hierarchy.nodes[node_id].children)
+        if stray:
+            raise ValueError(
+                f"carried encodings of {sorted(stray)} are not children "
+                f"of node {node_id}"
+            )
+        own = self._encode(node_id, mat, carried, None)
+        return own if view == "own" else self.forward_view(node_id, own)
 
-        def encode(nid: int) -> tuple[np.ndarray, np.ndarray]:
-            node = self.hierarchy.nodes[nid]
-            if node.is_leaf:
-                encoded = self.encode_leaf(nid, mat)
-                return encoded, encoded
-            children = [encode(c)[1] for c in node.children]
-            raw = self.combine_children(nid, children, binarize=False)
-            fwd = sign_binarize(raw) if self.config.binarize else raw
-            return raw, fwd
+    def forward_view(self, node_id: int, own: np.ndarray) -> np.ndarray:
+        """What ``node_id`` transmits upward, given what it classifies with.
 
-        own, forward = encode(node_id)
-        return own if view == "own" else forward
+        Leaves forward their encoding unchanged; internal nodes forward
+        the binarized copy of their raw projection when
+        ``config.binarize`` is set.
+        """
+        if self.hierarchy.nodes[node_id].is_leaf or not self.config.binarize:
+            return own
+        return sign_binarize(own)
+
+    def _encode(
+        self,
+        node_id: int,
+        mat: np.ndarray,
+        carried: Mapping[int, Tuple[np.ndarray, np.ndarray]],
+        sink: Optional[Dict[int, np.ndarray]],
+    ) -> np.ndarray:
+        """Own encoding of ``mat`` at ``node_id``; each node at most once.
+
+        The one per-node encoding routine behind :meth:`encode_at` and
+        :meth:`encode_all`. ``sink`` collects the own encoding of every
+        node computed over all of ``mat``, children before parents.
+        """
+        node = self.hierarchy.nodes[node_id]
+        if node.is_leaf:
+            own = self.encode_leaf(node_id, mat)
+        else:
+            parts = []
+            for child in node.children:
+                if child in carried:
+                    parts.append(self._fill_carried(child, mat, *carried[child]))
+                else:
+                    own_child = self._encode(child, mat, {}, sink)
+                    parts.append(self.forward_view(child, own_child))
+            own = self.combine_children(node_id, parts, binarize=False)
+        if sink is not None:
+            sink[node_id] = own
+        return own
+
+    def _fill_carried(
+        self, child: int, mat: np.ndarray, rows: np.ndarray, forward: np.ndarray
+    ) -> np.ndarray:
+        """``child``'s forward encodings of ``mat``: ``forward`` at
+        ``rows``, the other rows encoded through the child's subtree."""
+        if forward.shape[0] != len(rows):
+            raise ValueError(
+                f"child {child} carries {forward.shape[0]} encodings "
+                f"for {len(rows)} rows"
+            )
+        missing = np.ones(mat.shape[0], dtype=bool)
+        missing[rows] = False
+        if not missing.any():
+            return forward[np.argsort(rows)]
+        filled = self.forward_view(
+            child, self._encode(child, mat[missing], {}, None)
+        )
+        out = np.empty(
+            (mat.shape[0], forward.shape[1]),
+            dtype=np.result_type(forward, filled),
+        )
+        out[rows] = forward
+        out[missing] = filled
+        return out
 
     # ------------------------------------------------------------------
     # offline federated training (Sec. IV-B)
@@ -525,88 +567,3 @@ class EdgeHDFederation:
         assert self.hierarchy.root_id is not None
         return self.hierarchy.root_id
 
-
-class LazyEncodings:
-    """Memoized per-node hierarchical encodings of one feature batch.
-
-    Produced by :meth:`EdgeHDFederation.encode_lazy`. Node encodings are
-    computed with exactly the same per-node arithmetic as
-    :meth:`EdgeHDFederation.encode_all` — leaf slice encoding, children
-    forward concatenation, ternary projection — but only when a node is
-    first accessed, and each node at most once. Because every node's
-    encoding depends only on its own subtree (never on evaluation
-    order), the values are bit-identical to the eager path for whichever
-    subset of nodes a caller touches.
-    """
-
-    def __init__(
-        self,
-        federation: EdgeHDFederation,
-        mat: np.ndarray,
-        prefill: Optional[Dict[int, np.ndarray]] = None,
-    ) -> None:
-        self._federation = federation
-        self._mat = mat
-        self._own: Dict[int, np.ndarray] = {}
-        self._forward: Dict[int, np.ndarray] = {}
-        for node_id, encoded in (prefill or {}).items():
-            if node_id not in federation.hierarchy.nodes:
-                raise KeyError(f"prefill references unknown node {node_id}")
-            self._own[node_id] = encoded
-            node = federation.hierarchy.nodes[node_id]
-            # Mirror encode_all's forward view: leaves forward what they
-            # classify with; internal nodes forward the binarized copy.
-            if node.is_leaf:
-                self._forward[node_id] = encoded
-            elif federation.config.binarize:
-                self._forward[node_id] = sign_binarize(encoded)
-            else:
-                self._forward[node_id] = encoded
-
-    def own(self, node_id: int) -> np.ndarray:
-        """What ``node_id`` classifies with (raw values at internal nodes)."""
-        cached = self._own.get(node_id)
-        if cached is None:
-            self._materialize(node_id)
-            cached = self._own[node_id]
-        return cached
-
-    def forward(self, node_id: int) -> np.ndarray:
-        """What ``node_id`` transmits upward (binarized when configured)."""
-        cached = self._forward.get(node_id)
-        if cached is None:
-            self._materialize(node_id)
-            cached = self._forward[node_id]
-        return cached
-
-    def __getitem__(self, node_id: int) -> np.ndarray:
-        return self.own(node_id)
-
-    def materialized(self, node_id: int) -> bool:
-        """Whether ``node_id`` has already been encoded (no compute)."""
-        return node_id in self._own
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._federation.hierarchy.nodes
-
-    @property
-    def n_materialized(self) -> int:
-        """How many nodes have been encoded so far (for tests/telemetry)."""
-        return len(self._own)
-
-    def _materialize(self, node_id: int) -> None:
-        federation = self._federation
-        node = federation.hierarchy.nodes.get(node_id)
-        if node is None:
-            raise KeyError(f"unknown node {node_id}")
-        if node.is_leaf:
-            encoded = federation.encode_leaf(node_id, self._mat)
-            self._own[node_id] = encoded
-            self._forward[node_id] = encoded
-            return
-        children = [self.forward(child) for child in node.children]
-        raw = federation.combine_children(node_id, children, binarize=False)
-        self._own[node_id] = raw
-        self._forward[node_id] = (
-            sign_binarize(raw) if federation.config.binarize else raw
-        )

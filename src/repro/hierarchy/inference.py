@@ -3,9 +3,13 @@
 A query enters the system at an end node (the device the user touched).
 The node classifies locally; if the softmax confidence of the winning
 class clears the user-configurable threshold, it answers immediately —
-zero communication. Otherwise the query *escalates*: the parent gathers
-its children's encoded hypervectors, hierarchically encodes them, and
-repeats the decision with its richer model, up to the central node.
+zero communication. Otherwise the query *escalates*: it ships its
+node's forward encoding upward, the parent concatenates it with its
+other children's encodings and projects them, and repeats the decision
+with its richer model, up to the central node. One vectorized
+:meth:`HierarchicalInference.step` per node and cohort makes that
+decision for every executor — the offline :meth:`~HierarchicalInference.run`
+and the serving runtimes alike.
 
 Escalated query hypervectors are shipped in *compressed* bundles of
 ``m`` queries bound with position hypervectors (Sec. IV-C /
@@ -16,8 +20,9 @@ roughly ``m`` (integer bundle elements vs ``m`` bipolar vectors).
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +34,38 @@ from repro.network.message import Message, MessageKind
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_labels, check_matrix
 
-__all__ = ["HierarchicalInference", "InferenceOutcome"]
+__all__ = [
+    "HierarchicalInference",
+    "InferenceOutcome",
+    "NodeStep",
+    "PREDICTION_BYTES",
+]
 
 logger = logging.getLogger(__name__)
+
+#: bytes of one downstream prediction (a class index).
+PREDICTION_BYTES = 4
+
+
+@dataclass
+class NodeStep:
+    """One node's verdict on its cohort (:meth:`HierarchicalInference.step`)."""
+
+    #: per-row action: ``"answer"`` with this node's decision,
+    #: ``"answer_cached"`` with an earlier node's, ``"escalate"`` to the
+    #: parent, or ``"to_root"`` (the above-cap fallback).
+    action: np.ndarray
+    #: this node's decision per row; label -1 where it made none.
+    labels: np.ndarray
+    confidence: np.ndarray
+    #: the node's forward encoding of every row — the upward bundle
+    #: escalating rows carry; None when no row escalates.
+    forward: Optional[np.ndarray] = None
+    #: wire bytes of the compressed bundles the escalating rows fill.
+    bundle_bytes: int = 0
+    #: seconds spent encoding (damage included) and searching.
+    encode_s: float = 0.0
+    search_s: float = 0.0
 
 
 @dataclass
@@ -141,6 +175,121 @@ class HierarchicalInference:
         )
 
     # ------------------------------------------------------------------
+    def step(
+        self,
+        node_id: int,
+        features: np.ndarray,
+        carried: Sequence[Optional[Tuple[int, np.ndarray]]],
+        has_decision: np.ndarray,
+        *,
+        cap: int,
+        min_level: Optional[int] = None,
+        own: Optional[np.ndarray] = None,
+        search: Optional[SearchSpec] = None,
+        damage: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    ) -> NodeStep:
+        """One node's escalation decision for its whole cohort.
+
+        The single decision rule every executor runs: :meth:`run` loops
+        over it offline and each node server of :mod:`repro.serve`
+        calls it once per micro-batch. Row ``i`` of the cohort is
+        ``features[i]``, the ``(node, forward encoding)`` it brought up
+        from its previous hop (``carried[i]``, None when it carries
+        none) and whether some node below already decided it
+        (``has_decision[i]``). Per row the node then
+
+        * below ``min_level`` — encodes and escalates without deciding;
+        * within ``[min_level, cap]`` — decides, and answers when
+          confident, at the cap or at the root; otherwise escalates;
+        * above ``cap`` (ragged hierarchies) — answers with the earlier
+          decision, or hands the row to the root, whose model decides
+          what no capable node did.
+
+        Escalating rows carry :attr:`NodeStep.forward` upward, so a
+        parent encodes only the children a row does not carry (see
+        :meth:`EdgeHDFederation.encode_at`). ``own`` replaces the node's
+        own encoding of the cohort (precomputed by the caller);
+        ``damage(rows, own)`` may alter the own encoding of cohort
+        ``rows`` before search without touching the forwarded copy;
+        ``min_level`` overrides :attr:`min_level`.
+        """
+        node = self.federation.hierarchy.nodes[node_id]
+        min_level = self.min_level if min_level is None else min_level
+        n = features.shape[0]
+        if node.level > cap:
+            action = np.where(has_decision, "answer_cached", "to_root").astype(object)
+            labels = np.full(n, -1, dtype=np.int64)
+            confidence = np.zeros(n, dtype=np.float64)
+            rows = np.flatnonzero(~has_decision)
+            if node.parent is not None or not rows.size:
+                return NodeStep(action, labels, confidence)
+            # At the root the fallback decides the undecided rows, as if
+            # the cap were here.
+            sub = self.step(
+                node_id, features[rows], [carried[i] for i in rows],
+                has_decision[rows],
+                cap=node.level, min_level=min_level,
+                own=None if own is None else own[rows], search=search,
+                damage=(
+                    None if damage is None
+                    else lambda sub_rows, enc: damage(rows[sub_rows], enc)
+                ),
+            )
+            action[rows] = "answer"
+            labels[rows] = sub.labels
+            confidence[rows] = sub.confidence
+            return NodeStep(
+                action, labels, confidence,
+                encode_s=sub.encode_s, search_s=sub.search_s,
+            )
+        t0 = time.perf_counter()
+        if own is not None:
+            encoded = own
+        else:
+            bundles: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            for child in node.children:
+                picked = [
+                    (i, c[1]) for i, c in enumerate(carried)
+                    if c is not None and c[0] == child
+                ]
+                if picked:
+                    bundles[child] = (
+                        np.array([i for i, _ in picked]),
+                        np.stack([vec for _, vec in picked]),
+                    )
+            encoded = self.federation.encode_at(
+                node_id, features, carried=bundles
+            )
+        if node.level < min_level:
+            assert node.parent is not None, "the root always decides"
+            return NodeStep(
+                np.full(n, "escalate", dtype=object),
+                np.full(n, -1, dtype=np.int64),
+                np.zeros(n, dtype=np.float64),
+                forward=self.federation.forward_view(node_id, encoded),
+                bundle_bytes=self.bundle_bytes(node.parent, n),
+                encode_s=time.perf_counter() - t0,
+            )
+        query = encoded if damage is None else damage(np.arange(n), encoded)
+        t1 = time.perf_counter()
+        result = self.federation.classifiers[node_id].predict(
+            query, search=self.search if search is None else search
+        )
+        t2 = time.perf_counter()
+        confidence = result.top_confidence
+        action = np.full(n, "answer", dtype=object)
+        out = NodeStep(
+            action, result.labels, confidence, encode_s=t1 - t0, search_s=t2 - t1
+        )
+        if node.level < cap and node.parent is not None:
+            up = ~(confidence >= self.confidence_threshold)
+            count = int(up.sum())
+            if count:
+                action[up] = "escalate"
+                out.forward = self.federation.forward_view(node_id, encoded)
+                out.bundle_bytes = self.bundle_bytes(node.parent, count)
+        return out
+
     def run(
         self,
         features: np.ndarray,
@@ -154,15 +303,17 @@ class HierarchicalInference:
         ``start_leaves`` assigns each query an initiating end node
         (leaf ids); by default queries are spread uniformly over the
         leaves. ``max_level`` caps escalation (e.g. 2 = stop at the
-        gateways), used by the Fig. 11 level sweep. ``encodings`` may
-        pass precomputed ``encode_all(features)`` output (or any subset
-        of it, e.g. just the start leaves) to avoid re-encoding; nodes
-        missing from it are encoded on demand.
+        gateways), used by the Fig. 11 level sweep. ``encodings`` maps
+        nodes to precomputed own encodings with one row per query
+        (e.g. ``encode_all(features)`` or a subset of it); a node found
+        there classifies with those rows instead of encoding. Only the
+        rows of queries that visit the node are read, so a caller may
+        fill just those — the serving cluster encodes each query at its
+        own entry leaf and nowhere else.
 
-        The walk is batch-first: each node classifies its whole cohort
-        of pending queries in one vectorized call (using the kernel
-        selected by ``self.search``), and confidence gating
-        escalates entire sub-batches at once. The escalation decisions
+        The walk is a loop over :meth:`step`, one vectorized call per
+        node and cohort (using the kernel selected by ``self.search``),
+        so each node encodes each query at most once and the decisions
         are identical to walking queries one at a time.
         """
         hierarchy = self.federation.hierarchy
@@ -184,48 +335,12 @@ class HierarchicalInference:
             unknown = set(start_leaves.tolist()) - set(leaves)
             if unknown:
                 raise ValueError(f"start_leaves contains non-leaf ids {unknown}")
+        unknown_nodes = set(encodings or ()) - set(hierarchy.nodes)
+        if unknown_nodes:
+            raise KeyError(f"encodings reference unknown nodes {sorted(unknown_nodes)}")
         cap = self.effective_cap(max_level)
 
-        # Encodings and predictions are materialized lazily, whole
-        # batch at a time, the first time the walk reaches a node (one
-        # vectorized associative search per visited node). Confidence
-        # gating stops most queries at their entry leaf, so untouched
-        # subtrees are never encoded; the values computed for visited
-        # nodes are bit-identical to the eager encode-everything path.
         with obs.span("hierarchical_inference", n=n, cap=cap):
-            lazy = self.federation.encode_lazy(mat, prefill=encodings)
-            predictions: Dict[int, "PredictionResult"] = {}
-
-            def pred(node_id: int):
-                cached = predictions.get(node_id)
-                if cached is None:
-                    cached = self.federation.classifiers[node_id].predict(
-                        lazy.own(node_id), search=self.search
-                    )
-                    predictions[node_id] = cached
-                return cached
-
-            def cohort(node_id: int, rows: np.ndarray):
-                """(labels, confidence) for ``rows`` at ``node_id``.
-
-                Uses the whole-batch prediction when the node's encoding
-                is already in hand (prefilled leaves, repeat visits);
-                otherwise encodes just the cohort's rows, so an internal
-                node only pays for the queries that escalated to it.
-                """
-                if (
-                    rows.size == n
-                    or node_id in predictions
-                    or lazy.materialized(node_id)
-                ):
-                    decided = pred(node_id)
-                    return decided.labels[rows], decided.top_confidence[rows]
-                decided = self.federation.classifiers[node_id].predict(
-                    self.federation.encode_at(node_id, mat[rows]),
-                    search=self.search,
-                )
-                return decided.labels, decided.top_confidence
-
             #: queries escalated over each (child -> parent) edge.
             escalations: Dict[tuple[int, int], int] = {}
             #: per-query current position in the walk.
@@ -235,65 +350,56 @@ class HierarchicalInference:
             chosen = np.full(n, -1, dtype=np.int64)
             best_label = np.empty(n, dtype=np.int64)
             best_conf = np.empty(n, dtype=np.float64)
+            #: the upward bundle: the node each query last left and its
+            #: forward encoding there.
+            carried: List[Optional[Tuple[int, np.ndarray]]] = [None] * n
             pending = np.arange(n, dtype=np.int64)
             while pending.size:
                 advancing: list[np.ndarray] = []
-                for node_id in np.unique(current[pending]):
+                for node_id in np.unique(current[pending]).tolist():
                     rows = pending[current[pending] == node_id]
-                    node = hierarchy.nodes[node_id]
-                    parent = node.parent
-                    if node.level < self.min_level:
-                        # Below the first decision-capable level:
-                        # always escalate (costs a hop, no decision).
-                        if parent is not None:
-                            edge = (node_id, parent)
-                            escalations[edge] = (
-                                escalations.get(edge, 0) + rows.size
-                            )
-                            current[rows] = parent
-                            advancing.append(rows)
-                        continue
-                    if node.level > cap:
-                        # Ragged hierarchy: the parent jumped past the
-                        # cap before any decision-capable node answered
-                        # confidently; queries that never saw one fall
-                        # back to the root's model, exactly as the
-                        # per-sample walk did.
-                        unseen = rows[chosen[rows] < 0]
-                        if unseen.size:
-                            root = hierarchy.root_id
-                            lab, conf = cohort(root, unseen)
-                            chosen[unseen] = root
-                            best_label[unseen] = lab
-                            best_conf[unseen] = conf
-                        continue
-                    lab, conf = cohort(int(node_id), rows)
-                    chosen[rows] = node_id
-                    best_label[rows] = lab
-                    best_conf[rows] = conf
-                    done = conf >= self.confidence_threshold
-                    if node.level == cap or parent is None:
-                        continue
-                    escalate = rows[~done]
-                    if escalate.size:
+                    step = self.step(
+                        node_id, mat[rows], [carried[i] for i in rows],
+                        chosen[rows] >= 0,
+                        cap=cap,
+                        own=(
+                            encodings[node_id][rows]
+                            if encodings is not None and node_id in encodings
+                            else None
+                        ),
+                    )
+                    decided = step.labels >= 0
+                    here = rows[decided]
+                    chosen[here] = node_id
+                    best_label[here] = step.labels[decided]
+                    best_conf[here] = step.confidence[decided]
+                    up = step.action == "escalate"
+                    if up.any():
+                        parent = hierarchy.nodes[node_id].parent
+                        assert parent is not None and step.forward is not None
+                        esc = rows[up]
                         edge = (node_id, parent)
-                        escalations[edge] = (
-                            escalations.get(edge, 0) + escalate.size
-                        )
-                        current[escalate] = parent
-                        advancing.append(escalate)
+                        escalations[edge] = escalations.get(edge, 0) + esc.size
+                        current[esc] = parent
+                        for i, vec in zip(esc.tolist(), step.forward[up]):
+                            carried[i] = (node_id, vec)
+                        advancing.append(esc)
+                    if hierarchy.nodes[node_id].level <= cap:
+                        continue
+                    fallback = rows[step.action == "to_root"]
+                    if fallback.size:
+                        current[fallback] = hierarchy.root_id
+                        for i in fallback.tolist():
+                            carried[i] = None
+                        advancing.append(fallback)
                 pending = (
                     np.concatenate(advancing)
                     if advancing
                     else np.empty(0, dtype=np.int64)
                 )
 
-            # Per-query outputs were recorded at decision time (the walk
-            # predicts each cohort exactly once); only the level lookup
-            # remains.
-            labels = best_label
-            confidence = best_conf
-            deciding_node = chosen
+            # Per-query outputs were recorded at decision time; only the
+            # level lookup remains.
             deciding_level = np.empty(n, dtype=np.int64)
             for node_id in np.unique(chosen):
                 rows = np.flatnonzero(chosen == node_id)
@@ -301,12 +407,12 @@ class HierarchicalInference:
 
             messages = self.escalation_messages(escalations)
         if obs.enabled():
-            self._record_metrics(escalations, deciding_level, confidence)
+            self._record_metrics(escalations, deciding_level, best_conf)
         return InferenceOutcome(
-            labels=labels,
-            deciding_node=deciding_node,
+            labels=best_label,
+            deciding_node=chosen,
             deciding_level=deciding_level,
-            confidence=confidence,
+            confidence=best_conf,
             start_leaf=np.asarray(start_leaves, dtype=np.int64),
             messages=messages,
             escalations=dict(escalations),
@@ -359,39 +465,43 @@ class HierarchicalInference:
             )
         return cap
 
-    def escalation_messages(
-        self, escalations: Dict[tuple[int, int], int]
-    ) -> List[Message]:
-        """Charge compressed query bundles for the escalated queries.
+    def bundle_bytes(self, parent: int, count: int) -> int:
+        """Wire bytes of ``count`` queries escalated to ``parent``.
 
         When a node hands a query to its parent, the parent needs the
         hierarchically-encoded query of the *whole subtree it covers*,
         i.e. the children ship their encodings upward. We charge the
         parent's input dimensionality per query, divided across
-        compressed bundles of ``m`` queries with narrow packed
-        elements (see compressed_bundle_bytes). Also used by the
-        serving runtime (:mod:`repro.serve`) to rebuild an
-        offline-comparable message list from its escalation counts.
+        ``ceil(count / m)`` compressed bundles of ``m`` queries with
+        narrow packed elements (see compressed_bundle_bytes).
         """
-        messages: List[Message] = []
         hierarchy = self.federation.hierarchy
         m = self.compression_count
+        parent_in_dim = sum(
+            hierarchy.nodes[c].dimension for c in hierarchy.nodes[parent].children
+        )
+        return -(-count // m) * compressed_bundle_bytes(parent_in_dim, m)
+
+    def escalation_messages(
+        self, escalations: Dict[tuple[int, int], int]
+    ) -> List[Message]:
+        """Charge compressed query bundles for the escalated queries.
+
+        One uplink message of :meth:`bundle_bytes` per escalation edge
+        plus the predictions travelling back down. Also used by the
+        serving runtimes (:mod:`repro.serve`) to rebuild an
+        offline-comparable message list from their escalation counts.
+        """
+        messages: List[Message] = []
         for (child, parent), count in sorted(escalations.items()):
-            parent_in_dim = sum(
-                hierarchy.nodes[c].dimension
-                for c in hierarchy.nodes[parent].children
-            )
-            n_bundles = (count + m - 1) // m
-            bundle_bytes = compressed_bundle_bytes(parent_in_dim, m)
-            obs.incr(
-                "hierarchy.escalation.compressed_bytes", n_bundles * bundle_bytes
-            )
+            payload = self.bundle_bytes(parent, count)
+            obs.incr("hierarchy.escalation.compressed_bytes", payload)
             messages.append(
                 Message(
                     source=child,
                     destination=parent,
                     kind=MessageKind.COMPRESSED_QUERY,
-                    payload_bytes=n_bundles * bundle_bytes,
+                    payload_bytes=payload,
                 )
             )
             # The answer travels back down (a class index — negligible
@@ -401,7 +511,7 @@ class HierarchicalInference:
                     source=parent,
                     destination=child,
                     kind=MessageKind.PREDICTION,
-                    payload_bytes=4 * count,
+                    payload_bytes=PREDICTION_BYTES * count,
                 )
             )
         return messages

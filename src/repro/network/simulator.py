@@ -34,7 +34,7 @@ from repro.network.failure import FailureModel
 from repro.network.medium import Medium
 from repro.network.message import Message, MessageKind
 
-__all__ = ["NetworkSimulator", "SimulationResult"]
+__all__ = ["NetworkSimulator", "SimulationResult", "edge_medium"]
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +92,21 @@ class SimulationResult:
 _SHARED_CHANNEL: Tuple[int, int] = (-1, -1)
 
 
+def edge_medium(
+    hierarchy: Hierarchy,
+    source: int,
+    destination: int,
+    medium: Medium,
+    media_by_level: Dict[int, Medium],
+) -> Medium:
+    """Medium of the (source, destination) link: ``media_by_level``
+    keyed by the lower endpoint's level, else ``medium``."""
+    lower = min(
+        hierarchy.nodes[source].level, hierarchy.nodes[destination].level
+    )
+    return media_by_level.get(lower, medium)
+
+
 def _link_key(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
@@ -128,14 +143,6 @@ class NetworkSimulator:
         self.shared_medium = bool(shared_medium)
 
     # ------------------------------------------------------------------
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        """Medium of the (source, destination) link."""
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
-
     def _validate(self, message: Message) -> None:
         nodes = self.hierarchy.nodes
         if message.source not in nodes or message.destination not in nodes:
@@ -235,7 +242,10 @@ class NetworkSimulator:
         total: "_Totals",
     ) -> Optional[float]:
         """Send one message; returns delivery time or None if dropped."""
-        medium = self._edge_medium(message.source, message.destination)
+        medium = edge_medium(
+            self.hierarchy, message.source, message.destination,
+            self.medium, self.media_by_level,
+        )
         attempts, delivered = self._attempts(message)
         if self.shared_medium:
             key = _SHARED_CHANNEL

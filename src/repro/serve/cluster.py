@@ -13,8 +13,13 @@ semantics exact:
 * **workers** rebuild the federation's structure from seeds (encoders
   and projections are deterministic), attach the learned models from a
   :class:`~repro.serve.shard.SharedModelStore` — read-only, zero-copy,
-  never pickled — and replay the exact offline escalation walk
-  (:meth:`HierarchicalInference.run`) on their cohort;
+  never pickled — encode each query of a batch at its own entry leaf
+  (the encode stage) and run the offline walk
+  (:meth:`HierarchicalInference.run`, the walk stage) on the cohort.
+  The walk is a loop over :meth:`HierarchicalInference.step`, the same
+  step the asyncio runtime's node servers call, so escalating queries
+  carry their forward encodings upward and every node encodes each
+  query at most once;
 * a **heartbeat registry** evicts replicas that stop beating and the
   router re-dispatches their outstanding batches, so a killed worker
   (via :meth:`FaultPlan.validate_for_cluster` crash windows keyed by
@@ -25,11 +30,10 @@ semantics exact:
 Sharding partitions the *request space*: a consistent-hash ring maps
 each start leaf to a shard, giving per-subtree batch affinity, while
 every replica holds the full shared model and can stand in for any
-shard. Because :meth:`HierarchicalInference.run` is per-query
-deterministic regardless of batch composition, and per-edge escalation
-counts are additive across cohorts, a ``workers=1`` cluster answers
-bit-identically to the offline walk — same labels, deciding nodes,
-levels and wire bytes.
+shard. Because the walk is per-query deterministic regardless of batch
+composition, and per-edge escalation counts are additive across
+cohorts, a ``workers=1`` cluster answers bit-identically to the offline
+walk — same labels, deciding nodes, levels and wire bytes.
 
 Wire/energy accounting is simulated exactly as the offline walk
 charges it (escalations climb *inside* a worker, not between
@@ -57,9 +61,14 @@ from repro.config import EdgeHDConfig
 from repro.core.search import SearchSpec
 from repro.data.partition import FeaturePartition
 from repro.hierarchy.federation import EdgeHDFederation
-from repro.hierarchy.inference import HierarchicalInference
+from repro.hierarchy.inference import (
+    PREDICTION_BYTES,
+    HierarchicalInference,
+    InferenceOutcome,
+)
 from repro.hierarchy.topology import Hierarchy
 from repro.network.medium import Medium
+from repro.network.simulator import edge_medium
 from repro.obs.registry import MetricsRegistry
 from repro.serve.faults import FaultPlan
 from repro.serve.registry import ReplicaRegistry
@@ -68,7 +77,7 @@ from repro.serve.request import (
     ServeResult,
     StageTimings,
 )
-from repro.serve.runtime import _PREDICTION_BYTES, ServeConfig
+from repro.serve.runtime import ServeConfig
 from repro.serve.shard import SharedModelStore
 from repro.serve.workload import ServeWorkload, poisson_arrivals
 
@@ -217,9 +226,9 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
 
     Protocol (result queue): ``("ready", id, zero_copy_report)`` once
     attached; ``("hb", id, seq)`` while idle; ``("done", id, batch_id,
-    indices, labels, confidences, nodes, levels, escalation_triples,
-    encode_ms, search_ms)`` per batch; ``("error", id, traceback)`` on
-    failure; ``("bye", id, metrics_snapshot)`` on clean shutdown. A
+    indices, outcome, encode_ms, search_ms)`` per batch, ``outcome``
+    being its :class:`InferenceOutcome`; ``("error", id, traceback)``
+    on failure; ``("bye", id, metrics_snapshot)`` on clean shutdown. A
     fault-plan crash window for this replica index makes the process
     vanish silently — no bye, no more heartbeats — which is exactly
     what a ``kill -9`` looks like to the router.
@@ -277,19 +286,21 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
             # process doesn't read as a dead replica to the router.
             seq += 1
             result_q.put(("hb", spec.replica_id, seq))
-            # Encode only the entry leaves present in this batch
-            # eagerly (timed as the encode stage); escalation
-            # materializes internal-node encodings on demand inside
-            # ``run`` (timed as search). Confidence gating stops most
-            # queries at their leaf, so untouched subtrees are never
-            # projected — the bulk of the old encode-everything cost.
+            # The encode stage: each query at its own entry leaf only.
+            # Internal nodes encode inside ``run`` (the walk stage), for
+            # just the queries that escalate there, reusing the forward
+            # encodings those queries carry up from below.
             n_batch = len(indices)
             leaves_arr = np.asarray(leaves, dtype=np.int64)
             t0 = time.perf_counter()
-            encodings = {
-                int(leaf): federation.encode_leaf(int(leaf), rows)
-                for leaf in np.unique(leaves_arr)
-            }
+            encodings: Dict[int, np.ndarray] = {}
+            for leaf in np.unique(leaves_arr).tolist():
+                entering = np.flatnonzero(leaves_arr == leaf)
+                encoded = federation.encode_leaf(leaf, rows[entering])
+                encodings[leaf] = np.zeros(
+                    (n_batch, encoded.shape[1]), dtype=encoded.dtype
+                )
+                encodings[leaf][entering] = encoded
             t1 = time.perf_counter()
             outcome = inference.run(
                 rows,
@@ -298,31 +309,15 @@ def _worker_main(spec: WorkerSpec, task_q, result_q) -> None:
                 encodings=encodings,
             )
             t2 = time.perf_counter()
-            encode_s = t1 - t0
-            search_s = t2 - t1
-            out_labels = outcome.labels
-            out_confs = outcome.confidence
-            out_nodes = outcome.deciding_node
-            out_levels = outcome.deciding_level
-            batch_escalations = outcome.escalations
             metrics.counter("cluster.worker.batches", labels).inc()
             metrics.counter("cluster.worker.requests", labels).inc(n_batch)
             metrics.counter(
                 "cluster.worker.escalated", labels
-            ).inc(sum(batch_escalations.values()))
+            ).inc(sum(outcome.escalations.values()))
             result_q.put(
                 (
-                    "done",
-                    spec.replica_id,
-                    batch_id,
-                    indices,
-                    out_labels.tolist(),
-                    out_confs.tolist(),
-                    out_nodes.tolist(),
-                    out_levels.tolist(),
-                    [(c, p, n) for (c, p), n in batch_escalations.items()],
-                    encode_s * 1e3,
-                    search_s * 1e3,
+                    "done", spec.replica_id, batch_id, indices, outcome,
+                    (t1 - t0) * 1e3, (t2 - t1) * 1e3,
                 )
             )
     except Exception:  # pragma: no cover - surfaced as a router error
@@ -597,13 +592,6 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # simulated escalation accounting
     # ------------------------------------------------------------------
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
-
     def _precompute_edge_rtt(self) -> Dict[Tuple[int, int], float]:
         """Per-(child, parent) simulated escalation round-trip seconds.
 
@@ -613,22 +601,17 @@ class ClusterRuntime:
         reported latency without sleeping — the same modeling the
         offline byte accounting uses.
         """
-        from repro.core.compression import compressed_bundle_bytes
-
-        m = self.inference.compression_count
         rtt: Dict[Tuple[int, int], float] = {}
         for node_id, node in self.hierarchy.nodes.items():
             parent = node.parent
             if parent is None:
                 continue
-            parent_in_dim = sum(
-                self.hierarchy.nodes[c].dimension
-                for c in self.hierarchy.nodes[parent].children
+            medium = edge_medium(
+                self.hierarchy, node_id, parent, self.medium, self.media_by_level
             )
-            medium = self._edge_medium(node_id, parent)
             rtt[(node_id, parent)] = medium.transfer_time(
-                compressed_bundle_bytes(parent_in_dim, m)
-            ) + medium.transfer_time(_PREDICTION_BYTES)
+                self.inference.bundle_bytes(parent, 1)
+            ) + medium.transfer_time(PREDICTION_BYTES)
         return rtt
 
     def _escalation_rtt_ms(self, start_leaf: int, deciding_node: int) -> float:
@@ -830,50 +813,18 @@ class ClusterRuntime:
                     self.close()
                     raise RuntimeError(f"worker {msg[1]} crashed:\n{msg[2]}")
                 elif kind == "done":
-                    (_, replica_id, batch_id, indices, labels, confs,
-                     nodes, levels, triples, encode_ms, search_ms) = msg
+                    (_, replica_id, batch_id, indices, outcome,
+                     encode_ms, search_ms) = msg
                     self.registry.beat(replica_id, done_wall)
                     d = outstanding.pop(batch_id, None)
                     if d is not None:
                         if replica_id in self.registry:
                             self.registry.complete(replica_id, len(indices))
-                        for c, p, count in triples:
-                            edge = (int(c), int(p))
-                            escalations[edge] = (
-                                escalations.get(edge, 0) + int(count)
-                            )
-                        for pos, idx in enumerate(indices):
-                            arrival_wall = t0 + float(arrivals[idx])
-                            dispatch_wall = (
-                                d.dispatched_wall if d else done_wall
-                            )
-                            leaf = int(workload.start_leaves[idx])
-                            rtt_ms = self._escalation_rtt_ms(
-                                leaf, int(nodes[pos])
-                            )
-                            queue_wait_ms = max(
-                                (dispatch_wall - arrival_wall) * 1e3, 0.0
-                            )
-                            total_ms = (
-                                max((done_wall - arrival_wall) * 1e3, 0.0)
-                                + rtt_ms
-                            )
-                            responses[idx] = ServeResponse(
-                                index=idx,
-                                start_leaf=leaf,
-                                label=int(labels[pos]),
-                                confidence=float(confs[pos]),
-                                deciding_node=int(nodes[pos]),
-                                deciding_level=int(levels[pos]),
-                                shed=False,
-                                timings=StageTimings(
-                                    queue_wait_ms=queue_wait_ms,
-                                    encode_ms=float(encode_ms),
-                                    search_ms=float(search_ms),
-                                    escalation_rtt_ms=rtt_ms,
-                                    total_ms=total_ms,
-                                ),
-                            )
+                        self._complete(
+                            workload, indices, outcome, t0, arrivals,
+                            d.dispatched_wall, done_wall, responses,
+                            escalations, encode_ms, search_ms,
+                        )
                         last_completion_wall = done_wall
                 elif kind == "ready":
                     # A replacement worker came up mid-run: register it
@@ -898,9 +849,10 @@ class ClusterRuntime:
         messages = self.inference.escalation_messages(escalations)
         wire_bytes = sum(m.payload_bytes for m in messages)
         energy_j = sum(
-            self._edge_medium(m.source, m.destination).transfer_energy(
-                m.payload_bytes
-            )
+            edge_medium(
+                self.hierarchy, m.source, m.destination, self.medium,
+                self.media_by_level,
+            ).transfer_energy(m.payload_bytes)
             for m in messages
         )
         result = ServeResult(
@@ -964,42 +916,63 @@ class ClusterRuntime:
         provide the isolation/throughput it was asked for, and callers
         (and ``degraded_rate``) should see that.
         """
-        rows = np.stack([workload.features[i] for i in indices])
-        leaves = np.asarray(
-            [int(workload.start_leaves[i]) for i in indices], dtype=np.int64
-        )
         t_enc = time.perf_counter()
         outcome = self.inference.run(
-            rows, start_leaves=leaves, max_level=self.config.max_level
+            workload.features[indices],
+            start_leaves=workload.start_leaves[indices],
+            max_level=self.config.max_level,
         )
-        elapsed_ms = (time.perf_counter() - t_enc) * 1e3
+        elapsed_s = time.perf_counter() - t_enc
         done_wall = time.monotonic()
-        for edge, count in outcome.escalations.items():
-            escalations[edge] = escalations.get(edge, 0) + count
         if obs.enabled():
             obs.incr("cluster.local_fallback", len(indices))
+        self._complete(
+            workload, indices, outcome, t0, arrivals, done_wall - elapsed_s,
+            done_wall, responses, escalations, search_ms=elapsed_s * 1e3,
+            degraded=True,
+        )
+
+    def _complete(
+        self,
+        workload: ServeWorkload,
+        indices: List[int],
+        outcome: InferenceOutcome,
+        t0: float,
+        arrivals: np.ndarray,
+        started_wall: float,
+        done_wall: float,
+        responses: Dict[int, ServeResponse],
+        escalations: Dict[Tuple[int, int], int],
+        encode_ms: float = 0.0,
+        search_ms: float = 0.0,
+        degraded: bool = False,
+    ) -> None:
+        """Record one walked batch: responses and escalation counts.
+
+        A request queues from its arrival until ``started_wall`` and
+        finishes at ``done_wall`` plus its simulated escalation climb.
+        """
+        for edge, count in outcome.escalations.items():
+            escalations[edge] = escalations.get(edge, 0) + count
         for pos, idx in enumerate(indices):
-            leaf = int(leaves[pos])
-            rtt_ms = self._escalation_rtt_ms(
-                leaf, int(outcome.deciding_node[pos])
-            )
+            leaf = int(workload.start_leaves[idx])
+            node = int(outcome.deciding_node[pos])
+            rtt_ms = self._escalation_rtt_ms(leaf, node)
             arrival_wall = t0 + float(arrivals[idx])
             responses[idx] = ServeResponse(
                 index=idx,
                 start_leaf=leaf,
                 label=int(outcome.labels[pos]),
                 confidence=float(outcome.confidence[pos]),
-                deciding_node=int(outcome.deciding_node[pos]),
+                deciding_node=node,
                 deciding_level=int(outcome.deciding_level[pos]),
                 shed=False,
-                degraded=True,
+                degraded=degraded,
                 timings=StageTimings(
-                    queue_wait_ms=max(
-                        (done_wall - arrival_wall) * 1e3 - elapsed_ms, 0.0
-                    ),
-                    search_ms=elapsed_ms,
+                    queue_wait_ms=max((started_wall - arrival_wall) * 1e3, 0.0),
+                    encode_ms=encode_ms,
+                    search_ms=search_ms,
                     escalation_rtt_ms=rtt_ms,
-                    total_ms=max((done_wall - arrival_wall) * 1e3, 0.0)
-                    + rtt_ms,
+                    total_ms=max((done_wall - arrival_wall) * 1e3, 0.0) + rtt_ms,
                 ),
             )

@@ -75,6 +75,9 @@ class ServeRequest:
     #: (child, parent) edges this request escalated over — the edges
     #: the answer descends (and is charged) on the way back.
     charged_path: List[Tuple[int, int]] = field(default_factory=list)
+    #: (node, forward encoding) shipped upward by the node this request
+    #: last escalated from — the upward bundle its parent reuses.
+    carried: Optional[Tuple[int, np.ndarray]] = None
     future: Optional["asyncio.Future[ServeResponse]"] = None
     #: per-request trace (None when tracing is disabled). The context
     #: travels with the request through queues and escalation bundles,

@@ -3,29 +3,26 @@
 Every hierarchy node becomes a :class:`_NodeServer`: a bounded inbox
 (:class:`~repro.serve.queueing.BoundedQueue`), a
 :class:`~repro.serve.batcher.MicroBatcher`, and a processing loop that
-encodes + classifies each micro-batch in one vectorized call and routes
-every cohort member with *exactly* the decision rule of the offline
-walk in :meth:`HierarchicalInference.run`:
-
-* below ``min_level`` — escalate unconditionally (costs a hop);
-* within ``[min_level, cap]`` — record the decision; answer when
-  confident, at the cap, or at the root; otherwise escalate;
-* above ``cap`` (ragged hierarchies) — answer with the last recorded
-  decision, or fall through to the root's model when none exists.
+hands each micro-batch to one :meth:`HierarchicalInference.step` — the
+same decision rule the offline :meth:`HierarchicalInference.run` loops
+over — and routes every cohort member by the action it returns:
+answer, answer with the earlier decision, escalate to the parent, or
+hand to the root (the above-cap fallback of ragged hierarchies).
 
 Escalated cohorts travel as compressed ``m``-query bundles (Eq. 3):
-the uplink is charged ``ceil(count / m) * compressed_bundle_bytes``
-through the edge's :class:`~repro.network.medium.Medium` — transfer
-time is simulated with ``asyncio.sleep``, energy and bytes accumulate
-in the result. Answers descend the escalation path as 4-byte
-predictions, exactly the byte accounting of
+the uplink is charged the bundle bytes the step computed through the
+edge's :class:`~repro.network.medium.Medium` — transfer time is
+simulated with ``asyncio.sleep``, energy and bytes accumulate in the
+result. Answers descend the escalation path as 4-byte predictions,
+exactly the byte accounting of
 :meth:`HierarchicalInference.escalation_messages`.
 
-The runtime computes node encodings from the raw feature rows
-(:meth:`EdgeHDFederation.encode_at` — deterministic, so micro-batch
-composition cannot change any answer) rather than decoding the noisy
-bundles; the offline walk charges wire bytes the same way, which is
-what keeps served and offline outcomes identical.
+Each escalating request carries its node's forward encoding upward as
+the bundle's payload (Sec. IV-C): the parent encodes only the children
+the request does not carry, fills those rows from the raw features,
+and projects the whole cohort once. Node encodings are deterministic
+per row, so micro-batch composition cannot change any answer, and the
+served walk stays identical to the offline one.
 
 With a :class:`~repro.serve.faults.FaultPlan` the same tree serves
 through an unreliable network: escalation attempts drop and pay
@@ -43,17 +40,20 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.compression import compressed_bundle_bytes
 from repro.core.search import SearchSpec
-from repro.hierarchy.inference import HierarchicalInference
+from repro.hierarchy.inference import (
+    PREDICTION_BYTES,
+    HierarchicalInference,
+    NodeStep,
+)
 from repro.network.medium import Medium
+from repro.network.simulator import edge_medium
 from repro.obs.telemetry import FlightRecorder, TelemetryLog, TelemetrySampler
 import repro.serve.sanitizer as sanitizer
 from repro.serve.batcher import MicroBatcher
@@ -66,10 +66,6 @@ from repro.serve.workload import ServeWorkload, poisson_arrivals
 __all__ = ["ServeConfig", "ServingRuntime"]
 
 logger = logging.getLogger(__name__)
-
-#: bytes of one downstream prediction (a class index), as charged by
-#: the offline walk.
-_PREDICTION_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,6 @@ class _NodeServer:
     # ------------------------------------------------------------------
     async def _process(self, batch: List[ServeRequest]) -> None:
         rt = self.runtime
-        inf = rt.inference
         loop = asyncio.get_running_loop()
         now = loop.time()
         now_ms = (now - rt._t0) * 1e3
@@ -176,114 +171,93 @@ class _NodeServer:
         if service > 0:
             await asyncio.sleep(service)
 
-        level = self.node.level
-        if level < inf.min_level:
-            # Sensing-only tier: never decides, always forwards.
-            await self._escalate(batch)
-            return
-        if level > rt.cap:
-            await self._above_cap(batch)
-            return
-
-        labels, conf = self._predict(batch)
+        step = self._step(batch)
         answer: List[ServeRequest] = []
         escalate: List[ServeRequest] = []
+        to_root: List[ServeRequest] = []
+        level = self.node.level
         for i, req in enumerate(batch):
-            req.decided = (int(labels[i]), float(conf[i]), self.node_id, level)
-            answers_here = (
-                conf[i] >= inf.confidence_threshold
-                or level == rt.cap
-                or self.node.parent is None
-            )
-            if answers_here:
-                answer.append(req)
-            else:
+            action = step.action[i]
+            if step.labels[i] >= 0:
+                req.decided = (
+                    int(step.labels[i]), float(step.confidence[i]),
+                    self.node_id, level,
+                )
+            if action == "escalate":
+                assert step.forward is not None
+                req.carried = (self.node_id, step.forward[i])
                 escalate.append(req)
+            elif action == "to_root":
+                req.carried = None
+                to_root.append(req)
+            else:
+                answer.append(req)
             if req.trace is not None:
                 req.trace.emit(
                     "decide", rt._now_ms(), node=self.node_id, level=level,
-                    label=int(labels[i]), confidence=float(conf[i]),
-                    action="answer" if answers_here else "escalate",
+                    label=int(step.labels[i]),
+                    confidence=float(step.confidence[i]), action=action,
                 )
         for req in answer:
             rt._answer(req)
         if escalate:
-            await self._escalate(escalate)
-
-    async def _above_cap(self, batch: List[ServeRequest]) -> None:
-        """Ragged hierarchy: this node sits past the escalation cap.
-
-        Queries that already saw a decision-capable node answer with
-        that decision; the rest fall through to the root's model — the
-        root predicts and answers unconditionally, charging no extra
-        wire bytes, exactly as the offline walk's fallback.
-        """
-        rt = self.runtime
-        undecided = [req for req in batch if req.decided is None]
-        for req in batch:
-            if req.decided is not None:
-                if req.trace is not None:
-                    req.trace.emit(
-                        "decide", rt._now_ms(), node=self.node_id,
-                        level=self.node.level, action="answer_cached",
-                    )
-                rt._answer(req)
-        if not undecided:
-            return
-        if self.node_id != rt.root_id:
-            await rt._forward(undecided, rt.root_id, origin=self)
-            return
-        labels, conf = self._predict(undecided)
-        for i, req in enumerate(undecided):
-            req.decided = (
-                int(labels[i]), float(conf[i]), self.node_id, self.node.level
-            )
-            if req.trace is not None:
-                req.trace.emit(
-                    "decide", rt._now_ms(), node=self.node_id,
-                    level=self.node.level, label=int(labels[i]),
-                    confidence=float(conf[i]), action="answer",
-                )
-            rt._answer(req)
+            await self._escalate(escalate, step.bundle_bytes)
+        if to_root:
+            await rt._forward(to_root, rt.root_id, self)
 
     # ------------------------------------------------------------------
-    def _predict(
-        self, batch: List[ServeRequest]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One vectorized encode + associative search for the cohort."""
+    def _step(
+        self,
+        batch: List[ServeRequest],
+        cap: Optional[int] = None,
+        min_level: Optional[int] = None,
+    ) -> NodeStep:
+        """One :meth:`HierarchicalInference.step` over the cohort.
+
+        Each request brings the forward encoding its previous hop
+        shipped upward, so the node encodes only what no request
+        carries. Under a corrupting fault plan, wire damage is replayed
+        onto the own encoding of rows that escalated to get here; the
+        pattern derives from (seed, node, request), so batch
+        composition cannot change it, and the forward copy a request
+        carries on stays clean.
+        """
         rt = self.runtime
-        rows = np.stack([req.features for req in batch])
-        t0 = time.perf_counter()
-        encoded = rt.federation.encode_at(self.node_id, rows, view="own")
         plan = rt.plan
-        if plan is not None and plan.corrupts_payload:
-            # Replay the wire damage onto rows that escalated to get
-            # here; the pattern derives from (seed, node, request), so
-            # batch composition cannot change it.
-            encoded = np.asarray(encoded, dtype=np.float64)
-            for i, req in enumerate(batch):
-                if req.charged_path:
-                    encoded[i] = plan.corrupt(
-                        encoded[i], self.node_id, req.index
+
+        def damage(rows: np.ndarray, own: np.ndarray) -> np.ndarray:
+            assert plan is not None
+            damaged = own.astype(np.float64)
+            for k, i in enumerate(rows.tolist()):
+                req = batch[i]
+                if not req.charged_path:
+                    continue
+                damaged[k] = plan.corrupt(damaged[k], self.node_id, req.index)
+                if req.trace is not None:
+                    req.trace.emit("corrupt", rt._now_ms(), node=self.node_id)
+                if obs.enabled():
+                    obs.incr("serve.faults.corrupted")
+                    rt.flight.record(
+                        "corrupt", rt._elapsed(), node=self.node_id,
+                        request_id=req.index,
                     )
-                    if req.trace is not None:
-                        req.trace.emit(
-                            "corrupt", rt._now_ms(), node=self.node_id
-                        )
-                    if obs.enabled():
-                        obs.incr("serve.faults.corrupted")
-                        rt.flight.record(
-                            "corrupt", rt._elapsed(), node=self.node_id,
-                            request_id=req.index,
-                        )
-        t1 = time.perf_counter()
-        result = rt.federation.classifiers[self.node_id].predict(
-            encoded, search=rt.search
+            return damaged
+
+        step = rt.inference.step(
+            self.node_id,
+            np.stack([req.features for req in batch]),
+            [req.carried for req in batch],
+            np.array([req.decided is not None for req in batch]),
+            cap=rt.cap if cap is None else cap,
+            min_level=min_level,
+            search=rt.search,
+            damage=damage if plan is not None and plan.corrupts_payload else None,
         )
-        t2 = time.perf_counter()
-        encode_ms = (t1 - t0) * 1e3
-        search_ms = (t2 - t1) * 1e3
-        now_ms = rt._now_ms() if batch and batch[0].trace is not None else 0.0
+        if step.encode_s <= 0:
+            return step  # answered from earlier decisions: nothing computed
+        encode_ms = step.encode_s * 1e3
+        search_ms = step.search_s * 1e3
+        now_ms = rt._now_ms() if batch[0].trace is not None else 0.0
         for req in batch:
             req.timings.encode_ms += encode_ms
             req.timings.search_ms += search_ms
@@ -301,18 +275,7 @@ class _NodeServer:
             obs.observe("serve.batch_size", len(batch), bounds=rt._BATCH_BUCKETS)
             obs.observe("serve.latency.encode_ms", encode_ms)
             obs.observe("serve.latency.search_ms", search_ms)
-        return result.labels, result.top_confidence
-
-    def _bundle_payload(self, count: int, parent: int) -> int:
-        """Wire bytes of ``count`` queries bundled toward ``parent``."""
-        rt = self.runtime
-        m = rt.inference.compression_count
-        parent_in_dim = sum(
-            rt.hierarchy.nodes[c].dimension
-            for c in rt.hierarchy.nodes[parent].children
-        )
-        n_bundles = (count + m - 1) // m
-        return n_bundles * compressed_bundle_bytes(parent_in_dim, m)
+        return step
 
     async def _transmit(
         self,
@@ -330,7 +293,9 @@ class _NodeServer:
         aggregated escalation map stays comparable across runs.
         """
         rt = self.runtime
-        medium = rt._edge_medium(self.node_id, parent)
+        medium = edge_medium(
+            rt.hierarchy, self.node_id, parent, rt.medium, rt.media_by_level
+        )
         delay = medium.transfer_time(payload, jitter_s=jitter_s)
         rt.energy_j += medium.transfer_energy(payload)
         rt.wire_bytes += payload
@@ -353,10 +318,14 @@ class _NodeServer:
                     bytes=payload,
                 )
 
-    async def _escalate(self, cohort: List[ServeRequest]) -> None:
+    async def _escalate(self, cohort: List[ServeRequest], payload: int) -> None:
         """Ship the cohort upward as compressed m-query bundles.
 
-        Without a fault plan this is a single reliable transfer. Under
+        ``payload`` is the wire size of the whole cohort's bundles, as
+        the node's step charged it; a retransmission re-bundles only
+        the dropped requests.
+
+        Without a fault plan this is a single reliable attempt. Under
         a plan each request's send is a per-attempt Bernoulli draw
         (crashed parents fail the whole attempt); dropped requests wait
         out the loss-detection timeout plus exponential backoff and are
@@ -369,18 +338,6 @@ class _NodeServer:
         plan = rt.plan
         edge = (self.node_id, parent)
         edge_tag = f"{self.node_id}->{parent}"
-        if plan is None:
-            for req in cohort:
-                if req.trace is not None:
-                    req.trace.attempts += 1
-                    req.trace.emit(
-                        "escalate", rt._now_ms(), node=self.node_id,
-                        edge=edge_tag, attempt=1,
-                    )
-            payload = self._bundle_payload(len(cohort), parent)
-            await self._transmit(cohort, parent, payload)
-            await rt._forward(cohort, parent, via_edge=edge, origin=self)
-            return
         pending = cohort
         attempt = 0
         counted = False
@@ -395,30 +352,35 @@ class _NodeServer:
                     )
             delivered: List[ServeRequest] = []
             dropped: List[ServeRequest] = []
-            parent_dead = plan.crashed(parent, rt._elapsed())
+            parent_dead = plan is not None and plan.crashed(
+                parent, rt._elapsed()
+            )
             if parent_dead:
                 # Dead parent: the whole attempt fails; nothing reaches
                 # the radio on the other side, so no bytes are charged.
                 dropped = pending
             else:
-                payload = self._bundle_payload(len(pending), parent)
+                if attempt > 1:
+                    payload = rt.inference.bundle_bytes(parent, len(pending))
                 for req in pending:
-                    failed = plan.message_dropped(
+                    failed = plan is not None and plan.message_dropped(
                         edge, req.index, attempt, payload
                     )
                     (dropped if failed else delivered).append(req)
-                jitter = plan.jitter_s(edge, pending[0].index, attempt)
+                jitter = (
+                    0.0 if plan is None
+                    else plan.jitter_s(edge, pending[0].index, attempt)
+                )
                 await self._transmit(
                     pending, parent, payload, jitter_s=jitter,
                     count_escalation=not counted,
                 )
                 counted = True
                 if delivered:
-                    await rt._forward(
-                        delivered, parent, via_edge=edge, origin=self
-                    )
+                    await rt._forward(delivered, parent, self, via_edge=edge)
             if not dropped:
                 return
+            assert plan is not None, "only a fault plan drops"
             drop_reason = "parent_crashed" if parent_dead else "message_lost"
             for req in dropped:
                 if req.trace is not None:
@@ -591,13 +553,6 @@ class ServingRuntime:
         """Milliseconds since run start — the shared trace/telemetry
         /flight-recorder clock."""
         return self._elapsed() * 1e3
-
-    def _edge_medium(self, source: int, destination: int) -> Medium:
-        lower = min(
-            self.hierarchy.nodes[source].level,
-            self.hierarchy.nodes[destination].level,
-        )
-        return self.media_by_level.get(lower, self.medium)
 
     # ------------------------------------------------------------------
     # entry points
@@ -832,8 +787,8 @@ class ServingRuntime:
         self,
         cohort: List[ServeRequest],
         destination: int,
+        origin: _NodeServer,
         via_edge: Optional[Tuple[int, int]] = None,
-        origin: Optional[_NodeServer] = None,
     ) -> None:
         """Hand a cohort to another node's inbox (policy applies).
 
@@ -899,25 +854,7 @@ class ServingRuntime:
                         "timeout", self._elapsed(), node=destination,
                         request_id=req.index, reason="hop_timeout",
                     )
-                if origin is not None:
-                    self._degrade_cohort(origin, [req], reason="hop_timeout")
-                    continue
-                if req.trace is not None:
-                    req.trace.emit(
-                        "degraded", self._now_ms(), node=destination,
-                        reason="hop_timeout",
-                    )
-                if obs.enabled():
-                    self.flight.record(
-                        "degraded", self._elapsed(), node=destination,
-                        request_id=req.index, reason="hop_timeout",
-                    )
-                if req.decided is not None:
-                    self._answer(req, degraded=True)
-                else:
-                    self._finish(req, label=-1, confidence=0.0, node=-1,
-                                 level=-1, shed=False, degraded=True)
-                continue
+                self._degrade_cohort(origin, [req], reason="hop_timeout")
 
     def _degrade_cohort(
         self,
@@ -936,11 +873,12 @@ class ServingRuntime:
         """
         undecided = [req for req in cohort if req.decided is None]
         if undecided:
-            labels, conf = server._predict(undecided)
             level = server.node.level
+            step = server._step(undecided, cap=level, min_level=level)
             for i, req in enumerate(undecided):
                 req.decided = (
-                    int(labels[i]), float(conf[i]), server.node_id, level
+                    int(step.labels[i]), float(step.confidence[i]),
+                    server.node_id, level,
                 )
         for req in cohort:
             if req.trace is not None:
@@ -970,10 +908,12 @@ class ServingRuntime:
         label, confidence, node, level = req.decided
         delay = 0.0
         for child, parent in reversed(req.charged_path):
-            medium = self._edge_medium(parent, child)
-            delay += medium.transfer_time(_PREDICTION_BYTES)
-            self.energy_j += medium.transfer_energy(_PREDICTION_BYTES)
-            self.wire_bytes += _PREDICTION_BYTES
+            medium = edge_medium(
+                self.hierarchy, parent, child, self.medium, self.media_by_level
+            )
+            delay += medium.transfer_time(PREDICTION_BYTES)
+            self.energy_j += medium.transfer_energy(PREDICTION_BYTES)
+            self.wire_bytes += PREDICTION_BYTES
         if req.trace is not None and req.charged_path:
             req.trace.emit(
                 "descend", self._now_ms(), node=node,

@@ -58,3 +58,26 @@ def trained_federation(apri_small, small_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture()
+def count_rows(monkeypatch):
+    """Wrap a method to record the row count of every call.
+
+    ``count_rows(Owner, "name")`` returns the list the wrapper appends
+    to. The matrix must be the method's last positional argument
+    (``encode_leaf(leaf, features)``, ``project(hypervectors)``).
+    """
+
+    def install(owner, name):
+        calls: list = []
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(np.asarray(args[-1]).shape[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

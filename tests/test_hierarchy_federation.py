@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import EdgeHDConfig
+from repro.core.projection import TernaryProjection
 from repro.data import partition_features
 from repro.hierarchy.federation import EdgeHDFederation, batch_groups
+from repro.hierarchy.inference import HierarchicalInference
 from repro.hierarchy.topology import build_star, build_tree
 from repro.network.message import MessageKind
 
@@ -215,3 +217,70 @@ class TestOfflineTraining:
                 fed.accuracy_at(fed.root_id, apri_small.test_x, apri_small.test_y)
             )
         assert accs[0] == accs[1]
+
+
+class TestCarriedEncodings:
+    """``encode_at(carried=...)``: the per-node routine every walk uses."""
+
+    def test_carried_matches_eager_bitwise(self, trained_federation):
+        federation, _, data = trained_federation
+        rows = data.test_x[:16]
+        eager = federation.encode_all(rows)
+        forward = federation.encode_all(rows, view="forward")
+        for node_id, encoded in eager.items():
+            assert np.array_equal(federation.encode_at(node_id, rows), encoded)
+            children = federation.hierarchy.nodes[node_id].children
+            # Child k carries every (len + 1)-th row from row k on, so
+            # some rows carry nothing and each child fills the rest.
+            stride = len(children) + 1
+            carried = {
+                child: (np.arange(k, 16, stride), forward[child][k::stride])
+                for k, child in enumerate(children)
+            }
+            assert np.array_equal(
+                federation.encode_at(node_id, rows, carried=carried), encoded
+            )
+
+    def test_only_touched_subtree_encodes(self, trained_federation, count_rows):
+        federation, _, data = trained_federation
+        rows = data.test_x[:4]
+        leaf_rows = count_rows(EdgeHDFederation, "encode_leaf")
+        projected = count_rows(TernaryProjection, "project")
+        leaf = federation.hierarchy.leaves()[0]
+        federation.encode_at(leaf, rows)
+        assert (leaf_rows, projected) == ([4], [])
+        gateway = federation.hierarchy.nodes[leaf].parent
+        carried = {leaf: (np.arange(4), federation.encode_leaf(leaf, rows))}
+        del leaf_rows[:]
+        federation.encode_at(gateway, rows, carried=carried)
+        # only the sibling leaf encodes; the gateway projects once
+        assert leaf_rows == [4]
+        assert projected == [4]
+
+    def test_run_reads_prefilled_encodings(self, trained_federation, count_rows):
+        federation, _, data = trained_federation
+        rows = data.test_x[:8]
+        leaf = federation.hierarchy.leaves()[0]
+        starts = np.full(8, leaf)
+        inference = HierarchicalInference(federation, confidence_threshold=0.0)
+        expected = inference.run(rows, start_leaves=starts)
+        prefill = {leaf: federation.encode_leaf(leaf, rows)}
+        leaf_rows = count_rows(EdgeHDFederation, "encode_leaf")
+        outcome = inference.run(rows, start_leaves=starts, encodings=prefill)
+        assert leaf_rows == []
+        assert np.array_equal(outcome.labels, expected.labels)
+        assert np.array_equal(outcome.confidence, expected.confidence)
+
+    def test_unknown_nodes_rejected(self, trained_federation):
+        federation, _, data = trained_federation
+        rows = data.test_x[:2]
+        with pytest.raises(KeyError):
+            federation.encode_at(10_000, rows)
+        leaf = federation.hierarchy.leaves()[0]
+        with pytest.raises(ValueError, match="not children"):
+            federation.encode_at(
+                federation.root_id, rows,
+                carried={leaf: (np.arange(2), federation.encode_leaf(leaf, rows))},
+            )
+        with pytest.raises(KeyError):
+            HierarchicalInference(federation).run(rows, encodings={10_000: None})

@@ -450,41 +450,3 @@ class TestClusterServing:
             assert responses[idx].degraded is True
             assert responses[idx].label == int(offline.labels[idx])
 
-
-class TestLazyEncodings:
-    def test_lazy_matches_eager_bitwise(self, trained_federation):
-        federation, _, data = trained_federation
-        rows = data.test_x[:16]
-        eager = federation.encode_all(rows)
-        lazy = federation.encode_lazy(rows)
-        assert lazy.n_materialized == 0
-        for node_id, encoded in eager.items():
-            assert np.array_equal(lazy.own(node_id), encoded)
-        assert lazy.n_materialized == len(eager)
-
-    def test_only_touched_subtree_materializes(self, trained_federation):
-        federation, _, data = trained_federation
-        lazy = federation.encode_lazy(data.test_x[:4])
-        leaf = federation.hierarchy.leaves()[0]
-        lazy.own(leaf)
-        assert lazy.n_materialized == 1
-
-    def test_prefill_seeds_the_cache(self, trained_federation):
-        federation, _, data = trained_federation
-        rows = data.test_x[:4]
-        leaf = federation.hierarchy.leaves()[0]
-        seeded = federation.encode_lazy(
-            rows, prefill={leaf: federation.encode_leaf(leaf, rows)}
-        )
-        assert seeded.n_materialized == 1
-        assert np.array_equal(
-            seeded.own(leaf), federation.encode_all(rows)[leaf]
-        )
-
-    def test_unknown_node_rejected(self, trained_federation):
-        federation, _, data = trained_federation
-        lazy = federation.encode_lazy(data.test_x[:2])
-        with pytest.raises(KeyError):
-            lazy.own(10_000)
-        with pytest.raises(KeyError):
-            federation.encode_lazy(data.test_x[:2], prefill={10_000: None})
