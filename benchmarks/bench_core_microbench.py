@@ -48,10 +48,17 @@ def bench_retrain_epoch(benchmark, features):
     benchmark(clf.retrain, encoded, labels, 1)
 
 
-def bench_ternary_projection(benchmark):
-    proj = TernaryProjection(4000, 4000, zero_fraction=1 - 64 / 4000, seed=5)
-    queries = random_bipolar(4000, count=256, seed=6).astype(float)
-    benchmark(proj.project, queries)
+@pytest.fixture(scope="module")
+def root_projection():
+    return TernaryProjection(4000, 4000, zero_fraction=1 - 64 / 4000, seed=5)
+
+
+# 1 and 32: serving micro-batches; 256: an offline-walk cohort; 2500: a
+# training set.
+@pytest.mark.parametrize("batch", [1, 32, 256, 2500])
+def bench_ternary_projection(benchmark, root_projection, batch):
+    queries = random_bipolar(4000, count=batch, seed=6).astype(float)
+    benchmark(root_projection.project, queries)
 
 
 def bench_compression_roundtrip(benchmark):

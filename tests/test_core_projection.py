@@ -1,10 +1,19 @@
 """Unit tests for ternary holographic projection and concatenation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hypervector import cosine, random_bipolar
-from repro.core.projection import TernaryProjection, concatenate_hypervectors
+from repro.core.projection import (
+    PROJECT_BLOCK_ROWS,
+    TernaryProjection,
+    concatenate_hypervectors,
+)
+from repro.utils.rng import derive_rng
 
 
 class TestConcatenate:
@@ -123,3 +132,77 @@ class TestTernaryProjection:
             TernaryProjection(10, 10, zero_fraction=1.0)
         with pytest.raises(ValueError):
             TernaryProjection(10, 10, zero_fraction=-0.1)
+
+    def test_matrix_is_read_only(self):
+        proj = TernaryProjection(20, 10, seed=20)
+        with pytest.raises(ValueError):
+            proj.matrix[0, 0] = 1
+        with pytest.raises(AttributeError):
+            proj.matrix = np.zeros((10, 20), dtype=np.int8)
+
+
+class TestSparseKernel:
+    """The CSR kernel against the historical dense draw and product."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        in_dim=st.integers(1, 300),
+        out_dim=st.integers(1, 300),
+        zero_fraction=st.sampled_from([0.0, 1.0 / 3.0, 0.5, 0.9, 1 - 64 / 300]),
+        batch=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(
+        self, in_dim, out_dim, zero_fraction, batch, seed
+    ):
+        proj = TernaryProjection(
+            in_dim, out_dim, zero_fraction=zero_fraction, seed=seed,
+            binarize=False,
+        )
+        nonzero = (1.0 - zero_fraction) / 2.0
+        reference = derive_rng(seed, "ternary-projection").choice(
+            np.array([-1, 0, 1], dtype=np.int8),
+            size=(out_dim, in_dim),
+            p=[nonzero, zero_fraction, nonzero],
+        )
+        assert np.array_equal(proj.matrix, reference)
+        assert proj.multiplies_per_vector() == np.count_nonzero(reference)
+
+        dense_t = reference.T.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        bipolar = random_bipolar(in_dim, count=batch, seed=seed)
+        integers = rng.integers(-3, 4, size=(batch, in_dim))
+        for exact in (bipolar, integers):
+            expected = (exact.astype(np.float64) @ dense_t) * proj._scale
+            assert np.array_equal(proj.project(exact), expected)
+        real = rng.standard_normal((batch, in_dim))
+        projected = proj.project(real)
+        np.testing.assert_allclose(
+            projected, (real @ dense_t) * proj._scale, rtol=1e-12, atol=1e-12
+        )
+        # Per-row determinism: a row's projection ignores its batch.
+        for i in sorted({0, batch // 2, batch - 1, PROJECT_BLOCK_ROWS}):
+            if 0 <= i < batch:
+                assert np.array_equal(projected[i], proj.project(real[i]))
+                assert np.array_equal(
+                    projected[i], proj.project(real[i:i + 1])[0]
+                )
+
+    def test_keeps_no_dense_operand(self):
+        """Building and using a bench-scale root projection stays small.
+
+        The dense int8 matrix alone would be 15 MiB, its float64
+        transpose 122 MiB.
+        """
+        queries = random_bipolar(3999, count=32, seed=21).astype(np.float64)
+        tracemalloc.start()
+        try:
+            proj = TernaryProjection(
+                3999, 3999, zero_fraction=1 - 64 / 3999, seed=22
+            )
+            proj.project(queries)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert retained < 8 * 2**20
